@@ -45,6 +45,8 @@ crossing instead of one per statement.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Sequence
 
 import sympy as sp
@@ -66,6 +68,7 @@ __all__ = [
     "parallel_eligibility",
     "generate_native_source",
     "generate_fused_source",
+    "clear_fused_source_memo",
     "CHAIN_RUNNER_NAME",
     "FUSED_FN_NAME",
     "NATIVE_ABI_VERSION",
@@ -307,6 +310,22 @@ def parallel_eligibility(stmt, dim: int) -> str | None:
 # -- source generation ---------------------------------------------------------
 
 
+def _store_line(tref: str, op: str, rhs: str, real: str, zeroed: bool) -> str:
+    """The C statement writing *rhs* into *tref*.
+
+    A ``+=`` into a *zeroed* target (one that reads as zero when the run
+    starts and gets one write per element) becomes the store
+    ``t = ((real)0) + (rhs)``: the very IEEE addition zero-then-
+    accumulate performs, so ``-0.0`` still becomes ``+0.0`` and NaNs
+    pass through unchanged — but the target is never loaded, and the
+    caller need not zero-fill what the loop covers.  Without
+    ``-ffast-math`` the compiler may not fold ``0 + x`` to ``x``.
+    """
+    if op == "+=" and zeroed:
+        return f"{tref} = (({real})0) + ({rhs});"
+    return f"{tref} {'+=' if op == '+=' else '='} {rhs};"
+
+
 def _omp_for(nthreads: int) -> str:
     """The pragma placed on a partitionable outermost loop.
 
@@ -332,7 +351,7 @@ def _access_index(slots, strides_base: int) -> str:
 
 
 def generate_native_source(
-    kernel, nthreads: int = 1
+    kernel, nthreads: int = 1, zeroed: frozenset = frozenset()
 ) -> tuple[str, dict[tuple[int, int], str]]:
     """Lower *kernel*'s eligible statements to one C translation unit.
 
@@ -352,12 +371,20 @@ def generate_native_source(
     end of its parallel region preserves statement order, so the
     results are bitwise identical to the serial build at any thread
     count.
+
+    *zeroed* names targets the caller guarantees read as zero when the
+    run starts and receive exactly one write per element; their ``+=``
+    statements are emitted in store form (:func:`_store_line`).  Every
+    other statement — and the whole unit when *zeroed* is empty — is
+    emitted byte for byte as without it.
     """
     em = Emitter(indent="  ")
     em.line("/* Generated by repro.codegen.native_c — do not edit. */")
     em.line(f"/* ABI v{NATIVE_ABI_VERSION}, kernel {kernel.name!r} */")
     if nthreads > 1:
         em.line(f"/* threaded variant: {nthreads} OpenMP threads */")
+    if zeroed:
+        em.line(f"/* store form for zeroed targets: {', '.join(sorted(zeroed))} */")
     em.line("#include <stdint.h>")
     em.line("#include <math.h>")
     em.line()
@@ -424,9 +451,14 @@ def generate_native_source(
                 em.push()
             for line in temp_lines:
                 em.line(line)
-            op = "+=" if stmt.op == "+=" else "="
             em.line(
-                f"t[{_access_index(stmt.target.slots, 2 * dim)}] {op} {rhs};"
+                _store_line(
+                    f"t[{_access_index(stmt.target.slots, 2 * dim)}]",
+                    stmt.op,
+                    rhs,
+                    real,
+                    stmt.target.name in zeroed,
+                )
             )
             for _ in range(dim):
                 em.pop()
@@ -464,11 +496,64 @@ def _baked_index(slots, strides: Sequence[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
+_FUSED_MEMO_SIZE = 64
+_fused_memo: OrderedDict = OrderedDict()
+_fused_lock = threading.Lock()
+
+
 def generate_fused_source(
     entries: Sequence,
     arrays,
     counters: Sequence[sp.Symbol],
     nthreads: int = 1,
+    zeroed: frozenset = frozenset(),
+) -> tuple[str, str, tuple[str, ...]]:
+    """:func:`_emit_fused_source`, memoised on everything it reads.
+
+    The key is the group's statements (target, reads, op, symbolic RHS,
+    bare axes) with their boxes, rank and dtype, the arrays' strides,
+    the counters, the thread width and the store-form targets.  A
+    repeat bind at the same geometry — the checkpointed adjoint binds
+    one reverse plan per rotation parity — therefore skips SymPy CSE
+    and printing.  A bounded LRU;
+    :func:`~repro.runtime.cache.clear_kernel_cache` empties it.
+    """
+    key = (
+        tuple(
+            (e.stmt.target, e.stmt.reads, e.stmt.op, e.stmt.rhs_expr,
+             e.stmt.bare_axes, e.box, e.dim, e.dtype)
+            for e in entries
+        ),
+        tuple((name, arr.strides) for name, arr in arrays.items()),
+        tuple(counters),
+        nthreads,
+        frozenset(zeroed),
+    )
+    with _fused_lock:
+        hit = _fused_memo.get(key)
+        if hit is not None:
+            _fused_memo.move_to_end(key)
+            return hit
+    result = _emit_fused_source(entries, arrays, counters, nthreads, zeroed)
+    with _fused_lock:
+        _fused_memo[key] = result
+        while len(_fused_memo) > _FUSED_MEMO_SIZE:
+            _fused_memo.popitem(last=False)
+    return result
+
+
+def clear_fused_source_memo() -> None:
+    """Drop every memoised fused source (the next bind regenerates)."""
+    with _fused_lock:
+        _fused_memo.clear()
+
+
+def _emit_fused_source(
+    entries: Sequence,
+    arrays,
+    counters: Sequence[sp.Symbol],
+    nthreads: int = 1,
+    zeroed: frozenset = frozenset(),
 ) -> tuple[str, str, tuple[str, ...]]:
     """Lower one fused statement group to a single C loop nest.
 
@@ -512,6 +597,9 @@ def generate_fused_source(
     axis, so partitioning it would hand one statement's producer row to
     another thread).  An unsafe or 1-D group keeps its serial nest:
     still fused, still bitwise-identical, just not thread-partitioned.
+
+    *zeroed* targets get the store form, exactly as in
+    :func:`generate_native_source`.
     """
     first = entries[0]
     dim = first.dim
@@ -557,6 +645,8 @@ def generate_fused_source(
     em.line(f"/* ABI v{NATIVE_ABI_VERSION}, {len(entries)}-statement group */")
     if threaded:
         em.line(f"/* threaded variant: {nthreads} OpenMP threads */")
+    if zeroed:
+        em.line(f"/* store form for zeroed targets: {', '.join(sorted(zeroed))} */")
     em.line("#include <stdint.h>")
     em.line("#include <math.h>")
     em.line()
@@ -620,11 +710,13 @@ def generate_fused_source(
                 f"a{slot_of[tname]}"
                 f"[{_baked_index(st.target.slots, elem_strides[tname])}]"
             )
+            store = tname in zeroed
             if len(chunk) == 1:
-                op = "+=" if st.op == "+=" else "="
-                em.line(f"{tref} {op} {rhs};")
+                em.line(_store_line(tref, st.op, rhs, real, store))
             else:
-                if st.op == "+=":
+                if st.op == "+=" and store:
+                    value = f"(({real})0) + ({rhs})"
+                elif st.op == "+=":
                     tload = forwarded.get((tname, st.target.slots), tref)
                     value = f"{tload} + ({rhs})"
                 else:

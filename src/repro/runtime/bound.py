@@ -72,6 +72,7 @@ same is true of the unbound path, which mutates the same arrays).
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
@@ -421,6 +422,100 @@ def _bind_unit(
     return out
 
 
+# -- zeroed targets --------------------------------------------------------------
+
+
+def _checked_zeroed(plan, zeroed: Sequence[str]) -> tuple[str, ...]:
+    """*zeroed* as a sorted tuple, each name checked to be a target."""
+    targets = {
+        st.target.name for rp in plan.region_plans for st in rp.region.statements
+    }
+    stray = sorted(set(zeroed) - targets)
+    if stray:
+        raise ValueError(
+            f"zeroed names {stray} are not targets of kernel "
+            f"{plan.kernel.name!r} (it writes {sorted(targets)})"
+        )
+    return tuple(sorted(set(zeroed)))
+
+
+def _volume(box: Box) -> int:
+    return math.prod(hi - lo + 1 for lo, hi in box)
+
+
+def _store_form_boxes(plan, zeroed, arrays) -> dict[str, Box]:
+    """Zeroed targets the store form can serve, with their write box.
+
+    A target qualifies when the kernel only ever accumulates (``+=``)
+    into it through a full-rank target access, never reads it, and the
+    plan's write boxes for it (in array coordinates, over every task
+    and unit) are pairwise disjoint with one box as their union.  Each
+    element of that box then gets exactly one write per run, so
+    ``t = 0 + rhs`` equals zero-then-accumulate, and only the
+    complement of the box needs a fill.
+    """
+    writes: dict[str, list[Box]] = {name: [] for name in zeroed}
+    bad: set[str] = set()
+    for rp in plan.region_plans:
+        for st in rp.region.statements:
+            bad.update(acc.name for acc in st.reads)
+            axes = sorted(axis for axis, _ in st.target.slots)
+            if st.op != "+=" or axes != list(range(st.dim)):
+                bad.add(st.target.name)
+        for task in rp.tasks:
+            for unit in task:
+                for st, eff in zip(rp.region.statements, unit):
+                    if eff is not None and st.target.name in writes:
+                        writes[st.target.name].append(tuple(
+                            (eff[axis][0] + off, eff[axis][1] + off)
+                            for axis, off in st.target.slots
+                        ))
+    out: dict[str, Box] = {}
+    for name, boxes in writes.items():
+        if name in bad or not boxes:
+            continue
+        shape = arrays[name].shape
+        union = tuple(
+            (min(b[a][0] for b in boxes), max(b[a][1] for b in boxes))
+            for a in range(len(boxes[0]))
+        )
+        if len(shape) != len(union) or any(
+            lo < 0 or hi >= extent for (lo, hi), extent in zip(union, shape)
+        ):
+            continue
+        if sum(map(_volume, boxes)) != _volume(union):
+            continue
+        # The volumes add up to the union's, so the boxes are disjoint
+        # exactly when together they cover every element of the union
+        # (linear in the union's volume, however many tiles there are).
+        covered = np.zeros([hi - lo + 1 for lo, hi in union], dtype=bool)
+        for box in boxes:
+            covered[tuple(
+                slice(lo - ulo, hi - ulo + 1)
+                for (lo, hi), (ulo, _) in zip(box, union)
+            )] = True
+        if not covered.all():
+            continue
+        out[name] = union
+    return out
+
+
+def _complement_slabs(arr: np.ndarray, box: Box) -> list[np.ndarray]:
+    """Views covering every element of *arr* outside *box*.
+
+    At most two slabs per axis: axis ``a``'s slabs span the box on the
+    axes before it, everything on the axes after it.
+    """
+    slabs = []
+    for axis, (lo, hi) in enumerate(box):
+        head = tuple(slice(blo, bhi + 1) for blo, bhi in box[:axis])
+        if lo > 0:
+            slabs.append(arr[(*head, slice(0, lo))])
+        if hi < arr.shape[axis] - 1:
+            slabs.append(arr[(*head, slice(hi + 1, None))])
+    return slabs
+
+
 class _CheckedStatement:
     """Divergence-watchdog wrapper: scan the target after each statement.
 
@@ -524,17 +619,45 @@ class BoundPlan:
     True
     >>> bound.matches({**arrays, "u_b": arrays["u_b"].copy()})
     False
+
+    ``zeroed`` names targets that read as zero at the start of every
+    :meth:`run` (see :meth:`ExecutionPlan.bind
+    <repro.runtime.plan.ExecutionPlan.bind>`); ``store_form_targets``
+    reports which of them the store form serves.
     """
 
-    def __init__(self, plan, arrays: Mapping[str, np.ndarray]) -> None:
+    def __init__(
+        self,
+        plan,
+        arrays: Mapping[str, np.ndarray],
+        zeroed: Sequence[str] = (),
+    ) -> None:
         self.plan = plan
         config = plan.config
         scatter_mode = config.scatter and config.num_threads > 1
+        # Serial configs execute through the cross-task _serial_items
+        # chain; threaded/scatter configs execute through per-task
+        # chains.  Pack only the variant this config's run() uses —
+        # the other would be dead ctypes-array weight per bind.
+        serial_mode = config.num_threads == 1
+        # The divergence watchdog needs per-statement granularity:
+        # chaining and fusion would hide which statement produced the
+        # first non-finite value, so both stay off under check="nan".
+        check_mode = config.check == "nan"
+        zeroed = _checked_zeroed(plan, zeroed)
+        # Zeroed targets the serial native path can write in store
+        # form; everything else gets a full fill before each run.
+        store: dict[str, Box] = {}
+        if config.backend == "native" and serial_mode and not check_mode:
+            store = _store_form_boxes(plan, zeroed, arrays)
         native_lib = (
-            library_for_kernel(plan.kernel, native_thread_count(config))
+            library_for_kernel(
+                plan.kernel, native_thread_count(config), frozenset(store)
+            )
             if config.backend == "native"
             else None
         )
+        store_lib = native_lib.zeroed if native_lib else frozenset()
         shard = getattr(plan, "shard", None)
         if shard is not None:
             # Shard-aware bind: the plan's statement boxes were
@@ -566,15 +689,6 @@ class BoundPlan:
                 arr = sources[name] = arrays[name]
             return arr
 
-        # Serial configs execute through the cross-task _serial_items
-        # chain; threaded/scatter configs execute through per-task
-        # chains.  Pack only the variant this config's run() uses —
-        # the other would be dead ctypes-array weight per bind.
-        serial_mode = config.num_threads == 1
-        # The divergence watchdog needs per-statement granularity:
-        # chaining and fusion would hide which statement produced the
-        # first non-finite value, so both stay off under check="nan".
-        check_mode = config.check == "nan"
         regions: list[_BoundRegion] = []
         flat: list = []
         meta: list = []  # (region, statement, eff box) aligned with flat
@@ -616,6 +730,23 @@ class BoundPlan:
         self._sources = sources
         self._regions: tuple[_BoundRegion, ...] = tuple(regions)
         self._flat: tuple = tuple(flat)
+        # The store form covers a target only when its build succeeded
+        # and every statement writing it bound natively; a Python
+        # fallback accumulates, so that target gets the full fill.
+        for bound, (_region, st, _eff) in zip(flat, meta):
+            if not isinstance(bound, NativeStatement):
+                store.pop(st.target.name, None)
+        store = {k: v for k, v in store.items() if k in store_lib}
+        self.store_form_targets = tuple(sorted(store))
+        self._zero_fills = tuple(
+            view
+            for name in zeroed
+            for view in (
+                _complement_slabs(arrays[name], store[name])
+                if name in store
+                else (arrays[name],)
+            )
+        )
         # Dependence-aware fusion is a post-pass over the serial stream:
         # per-statement binds stay (counters, profiler, the reference
         # oracle); fused groups substitute contiguous slices of the
@@ -639,7 +770,7 @@ class BoundPlan:
             and not scatter_mode
             and not check_mode
         ):
-            stream = self._apply_fusion(flat, meta)
+            stream = self._apply_fusion(flat, meta, store_lib)
         # Reliability bookkeeping: the run counter feeds the divergence
         # watchdog's reports; written-array identities and their lazily
         # allocated backups implement the transactional guard.
@@ -686,7 +817,7 @@ class BoundPlan:
         else:
             self._serial_items = self._flat
 
-    def _apply_fusion(self, flat: list, meta: list) -> list:
+    def _apply_fusion(self, flat: list, meta: list, zeroed: frozenset) -> list:
         """Substitute fused groups into the serial execution stream.
 
         Plans groups over the bound statement stream (statements that
@@ -694,7 +825,8 @@ class BoundPlan:
         singletons), then binds each multi-statement group to one
         generated nest.  A group failing a bind-time gate or its build
         keeps its original per-statement slice — fallback is per group,
-        never all-or-nothing.
+        never all-or-nothing.  *zeroed* (the native library's store-form
+        targets) gets the store form in fused nests too.
         """
         kernel = self.plan.kernel
         dim = len(kernel.counters)
@@ -724,7 +856,7 @@ class BoundPlan:
             if group.fused:
                 fused = make_fused_statement(
                     kernel, group.entries, self._sources,
-                    nthreads=self.native_threads,
+                    nthreads=self.native_threads, zeroed=zeroed,
                 )
             if fused is not None:
                 stream.append(fused)
@@ -852,6 +984,8 @@ class BoundPlan:
             ) from exc
 
     def _run_inner(self, pool: ThreadPoolExecutor | None) -> None:
+        for view in self._zero_fills:
+            view.fill(0)
         config = self.plan.config
         if config.scatter and config.num_threads > 1:
             self._run_scatter(pool)

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy as sp
 
+from ..codegen.native_c import clear_fused_source_memo
 from ..core.loopnest import LoopNest
 from .bindings import Bindings
 
@@ -217,7 +218,8 @@ def get_kernel_cache() -> KernelCache:
 
 
 def clear_kernel_cache() -> None:
-    """Drop all cached kernels and reset hit/miss counters.
+    """Drop all cached kernels, their memoised fused C sources, and
+    reset hit/miss counters.
 
     >>> from repro.runtime import clear_kernel_cache, get_kernel_cache
     >>> clear_kernel_cache()
@@ -225,3 +227,4 @@ def clear_kernel_cache() -> None:
     0
     """
     _GLOBAL_CACHE.clear()
+    clear_fused_source_memo()

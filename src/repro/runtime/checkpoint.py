@@ -15,9 +15,10 @@ runtime follows.
   from the revolve schedule (``snaps`` slots of the full time-stepping
   state); ``np.copyto`` in and out, zero steady-state allocations.
 * :class:`CheckpointedAdjointPlan` — binds a forward plan and a reverse
-  (adjoint) plan **once** against a rotating set of state buffers (one
-  binding per rotation parity, so every schedule action replays a bound
-  ``run()``), then executes the optimal revolve action sequence per
+  (adjoint) plan **once** against rotating rings of state and adjoint
+  buffers (one binding per rotation parity, so every schedule action
+  replays a bound ``run()`` and no step copies a whole array between
+  roles), then executes the optimal revolve action sequence per
   :meth:`~CheckpointedAdjointPlan.adjoint` call.  Memory is O(snaps)
   instead of O(steps); the evaluation count is provably minimal
   (:func:`repro.driver.revolve.optimal_cost`); and the result is
@@ -33,7 +34,9 @@ gradients accumulate across the whole reverse sweep.  A forward step
 rotates ``h + 1`` persistent buffers (the :func:`make_stencil_steps`
 double-buffering generalised to any history depth); since rotation
 only permutes *roles*, each of the ``h + 1`` parities binds the plans
-once and every subsequent step of that parity is a pure bound run.
+once and every subsequent step of that parity is a pure bound run.  The
+reverse sweep rotates its ``h + 1`` adjoint buffers the same way, so a
+reverse step costs one fill of the retiring seed buffer and no copies.
 
 With ``members`` set, the same schedule runs across a leading member
 axis through :class:`~repro.runtime.ensemble.EnsemblePlan` bindings:
@@ -168,6 +171,17 @@ def _kernel_array_names(plan) -> set[str]:
     }
 
 
+def _check_dtype(what: str, arr, dtype: np.dtype) -> None:
+    """Refuse an input the sweep could only take by narrowing it."""
+    got = np.asarray(arr).dtype
+    if not np.can_cast(got, dtype, "safe"):
+        raise ValueError(
+            f"{what} is {got}, expected {dtype}: narrowing it would "
+            f"silently break the end-to-end reduced-precision contract; "
+            f"cast it first"
+        )
+
+
 class CheckpointedAdjointPlan:
     """A revolve schedule executed entirely through bound plan runs.
 
@@ -207,17 +221,35 @@ class CheckpointedAdjointPlan:
         Ensemble worker threads (ignored without *members*).
 
     The plan preallocates everything at construction: ``h + 1`` rotating
-    state buffers bound against both plans once per parity, the reverse
-    working set, and a :class:`SnapshotPool` sized ``snaps`` from the
-    revolve schedule.  Steady-state :meth:`adjoint` calls (after the
-    first, which records the slot tapes) perform **zero array
-    allocations** — asserted by ``tests/test_checkpoint_plan.py`` and
-    recorded by ``benchmarks/bench_checkpoint.py``.
+    state buffers, ``h + 1`` rotating adjoint buffers, the constant
+    adjoints, and a :class:`SnapshotPool` sized ``snaps`` from the
+    revolve schedule.  Both rings are anchored to the step index: the
+    newest state of step ``t`` always sits in ``state[t % (h + 1)]``
+    (a restore loads a snapshot there), and reverse step ``t`` runs at
+    adjoint parity ``r = (steps - 1 - t) % (h + 1)``, where the
+    output-adjoint seed is ``adj[r]`` and history-adjoint ``k`` is
+    ``adj[(r + 1 + k) % (h + 1)]``.  So one forward binding per parity
+    (output in ``state[p]``) and one reverse binding per ``t % (h + 1)``
+    cover every step, and passing the adjoint state from step ``t + 1``
+    to step ``t`` zero-fills the retiring seed buffer; no array is
+    copied.  The forward bindings take the output as ``zeroed`` (see
+    :meth:`~repro.runtime.plan.ExecutionPlan.bind`), so a native
+    forward step writes it in store form instead of filling it first.
+    Steady-state :meth:`adjoint` calls (after the first, which records
+    the slot tapes) perform **zero array allocations** — asserted by
+    ``tests/test_checkpoint_plan.py`` and recorded by
+    ``benchmarks/bench_checkpoint.py``.
+
+    ``state0`` and ``seed`` may be any dtype that casts safely to
+    *dtype*; a float64 input to a float32 sweep raises ``ValueError``
+    rather than being narrowed.
 
     The returned mapping holds the plan's persistent result buffers
     (adjoints of the step-0 state in the history-adjoint names, plus
-    the constant adjoints); they are overwritten by the next sweep, so
-    copy anything that must survive one.
+    the constant adjoints): the ring buffers that hold those roles at
+    the sweep's final adjoint parity, the same objects every call.
+    They are overwritten by the next sweep, so copy anything that must
+    survive one.
     """
 
     def __init__(
@@ -315,11 +347,13 @@ class CheckpointedAdjointPlan:
         )
         self._pool = SnapshotPool(snaps, full_shape, self.dtype, fields=h)
 
-        # Reverse working set: the output-adjoint seed buffer and one
-        # accumulator per history field, plus the constant adjoints.
-        self._seed_buf = np.zeros(full_shape, dtype=self.dtype)
-        self._hist_adj = tuple(
-            np.zeros(full_shape, dtype=self.dtype) for _ in range(h)
+        # Reverse working set: a ring of h + 1 adjoint buffers for the
+        # output-adjoint seed and the h history adjoints (roles rotate
+        # with the adjoint parity, like the state ring), plus the
+        # constant adjoints.
+        m = h + 1
+        self._adj = tuple(
+            np.zeros(full_shape, dtype=self.dtype) for _ in range(m)
         )
         self._const = constants
         self._const_adj = {
@@ -327,8 +361,14 @@ class CheckpointedAdjointPlan:
             for name in sorted(constants)
             if adj(name) in rev_names
         }
+        # A sweep ends with reverse step 0, at adjoint parity
+        # (steps - 1) % m.
+        final = (steps - 1) % m
         self._result = {
-            **{adj(history[k]): self._hist_adj[k] for k in range(h)},
+            **{
+                adj(history[k]): self._adj[(final + 1 + k) % m]
+                for k in range(h)
+            },
             **self._const_adj,
         }
 
@@ -345,18 +385,19 @@ class CheckpointedAdjointPlan:
                 self, self._scheduler.close
             )
 
-        def bind(plan, arrays):
+        def bind(plan, arrays, zeroed=()):
             if members is None:
-                return plan.bind(arrays)
+                return plan.bind(arrays, zeroed)
             from .ensemble import EnsemblePlan  # avoids import cycle
 
             return EnsemblePlan(
-                plan, arrays, workers=workers, scheduler=self._scheduler
+                plan, arrays, workers=workers, scheduler=self._scheduler,
+                zeroed=zeroed,
             )
 
-        # One forward binding per parity p (output lands in buffer p),
-        # one reverse binding per live pointer q (newest state in q).
-        m = h + 1
+        # One forward binding per parity p (output lands in buffer p);
+        # one reverse binding per live pointer q = t % m (newest state
+        # in q), whose adjoint parity r is fixed by q.
         self._fwd = tuple(
             bind(
                 forward_plan,
@@ -365,25 +406,21 @@ class CheckpointedAdjointPlan:
                     **{history[k]: self._rot[(p - 1 - k) % m] for k in range(h)},
                     **constants,
                 },
+                zeroed=(output,),
             )
             for p in range(m)
         )
-        rev_arrays_base = {
-            adj(output): self._seed_buf,
-            **{adj(history[k]): self._hist_adj[k] for k in range(h)},
-            **constants,
-            **self._const_adj,
-        }
-        self._rev = tuple(
-            bind(
-                reverse_plan,
-                {
-                    **rev_arrays_base,
-                    **{history[k]: self._rot[(q - k) % m] for k in range(h)},
-                },
-            )
-            for q in range(m)
-        )
+        def reverse_arrays(q):
+            r = (steps - 1 - q) % m  # adjoint parity of every t = q mod m
+            return {
+                adj(output): self._adj[r],
+                **{adj(history[k]): self._adj[(r + 1 + k) % m] for k in range(h)},
+                **{history[k]: self._rot[(q - k) % m] for k in range(h)},
+                **constants,
+                **self._const_adj,
+            }
+
+        self._rev = tuple(bind(reverse_plan, reverse_arrays(q)) for q in range(m))
 
         self._actions = tuple(schedule(steps, snaps))
         self.evaluation_cost = schedule_cost(list(self._actions))
@@ -436,36 +473,35 @@ class CheckpointedAdjointPlan:
                     f"state0 arrays must have shape {self._full_shape}, "
                     f"got {tuple(np.shape(arr))}"
                 )
+            _check_dtype("a state0 array", arr, self.dtype)
         self._live = 0
         for k, arr in enumerate(state0):
             np.copyto(self._rot[(-k) % len(self._rot)], arr)
 
     def _advance(self, count: int) -> None:
+        # The forward bindings zero their output themselves (zeroed=).
         m = len(self._rot)
         for _ in range(count):
             p = (self._live + 1) % m
-            out = self._rot[p]
-            out[...] = 0
             self._fwd[p].run()
             self._live = p
         self.forward_steps += count
 
     def _begin_reverse(self, seed: np.ndarray) -> None:
-        np.copyto(self._seed_buf, seed)
-        for buf in self._hist_adj:
-            buf[...] = 0
+        np.copyto(self._adj[0], seed)
+        for buf in self._adj[1:]:
+            buf.fill(0)
         for buf in self._const_adj.values():
-            buf[...] = 0
+            buf.fill(0)
 
-    def _rotate_adjoint(self) -> None:
+    def _rotate_adjoint(self, step: int) -> None:
         # lambda state for step t from step t+1: the output adjoint is
-        # the previous newest history adjoint; each history adjoint
-        # accumulator is preloaded with the next-older one (the pure
-        # "shift" part of the state adjoint); the oldest starts at 0.
-        np.copyto(self._seed_buf, self._hist_adj[0])
-        for k in range(len(self._hist_adj) - 1):
-            np.copyto(self._hist_adj[k], self._hist_adj[k + 1])
-        self._hist_adj[-1][...] = 0
+        # the previous newest history adjoint, and each history-adjoint
+        # accumulator starts from the next-older one (the pure "shift"
+        # part of the state adjoint).  Step t's parity re-points every
+        # role at once; the seed buffer of step t+1 retires to become
+        # the oldest history adjoint, which starts at 0.
+        self._adj[(self.steps - 2 - step) % len(self._adj)].fill(0)
 
     # -- schedule action handlers (bound once, reused every sweep) ---------
 
@@ -476,6 +512,9 @@ class CheckpointedAdjointPlan:
         self._advance(end - begin)
 
     def _on_restore(self, slot: int, step: int) -> None:
+        # Anchor the ring: the state of `step` goes where the forward
+        # sweep left it, so the reverse binding follows from the step.
+        self._live = step % len(self._rot)
         self._pool.load(slot, self._live_state())
 
     def _on_reverse(self, step: int) -> None:
@@ -484,7 +523,7 @@ class CheckpointedAdjointPlan:
         if self._fresh_seed:
             self._fresh_seed = False
         else:
-            self._rotate_adjoint()
+            self._rotate_adjoint(step)
         self._rev[self._live].run()
 
     # -- execution ---------------------------------------------------------
@@ -515,6 +554,7 @@ class CheckpointedAdjointPlan:
                 f"seed must have shape {self._full_shape}, got "
                 f"{tuple(np.shape(seed))}"
             )
+        _check_dtype("seed", seed, self.dtype)
         self._load_state0(state0)
         self.forward_steps = 0
         self._begin_reverse(seed)
@@ -559,6 +599,7 @@ class CheckpointedAdjointPlan:
                 f"seed must have shape {self._full_shape}, got "
                 f"{tuple(np.shape(seed))}"
             )
+        _check_dtype("seed", seed, self.dtype)
         self._load_state0(state0)
         self.forward_steps = 0
         history = []
@@ -568,6 +609,7 @@ class CheckpointedAdjointPlan:
         self._begin_reverse(seed)
         self._fresh_seed = True
         for t in reversed(range(self.steps)):
+            self._live = t % len(self._rot)
             for arr, saved in zip(self._live_state(), history[t]):
                 np.copyto(arr, saved)
             self._on_reverse(t)
@@ -777,6 +819,7 @@ class ShardedCheckpointedAdjoint:
                     f"state0 arrays must have shape {self._shape}, got "
                     f"{tuple(np.shape(arr))}"
                 )
+            _check_dtype("a state0 array", arr, self.dtype)
         self._live = 0
         for k, arr in enumerate(state0):
             self._plan.load(self._rot[(-k) % len(self._rot)], arr)
@@ -863,6 +906,7 @@ class ShardedCheckpointedAdjoint:
                 f"seed must have shape {self._shape}, got "
                 f"{tuple(np.shape(seed))}"
             )
+        _check_dtype("seed", seed, self.dtype)
         self._load_state0(state0)
         self.forward_steps = 0
         self._begin_reverse(seed)

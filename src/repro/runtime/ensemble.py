@@ -96,7 +96,12 @@ from ..codegen.native_c import native_eligibility
 from ..core.fusion import FusionEntry, plan_groups
 from ..errors import EnsembleBindError, ReproError
 from . import faults
-from .bound import _ALLOWED_FUNCS, _BoundStatement, _supports_inplace
+from .bound import (
+    _ALLOWED_FUNCS,
+    _BoundStatement,
+    _checked_zeroed,
+    _supports_inplace,
+)
 from .compiler import CompiledAccess, CompiledStatement, KernelError
 from .native import (
     chain_runnables,
@@ -296,6 +301,11 @@ class EnsemblePlan:
         adjoint runtime binds one plan per rotation parity and drives
         them all through one scheduler).  The caller keeps ownership:
         :meth:`close` leaves a shared scheduler running.
+    zeroed:
+        Kernel targets that read as zero at the start of every
+        :meth:`run`, as for :meth:`ExecutionPlan.bind
+        <repro.runtime.plan.ExecutionPlan.bind>`.  The ensemble fills
+        them whole before each run (no store form).
     """
 
     def __init__(
@@ -306,6 +316,7 @@ class EnsemblePlan:
         workers: int = 1,
         chunks: int | None = None,
         scheduler: WorkStealingScheduler | None = None,
+        zeroed: Sequence[str] = (),
     ) -> None:
         config = plan.config
         if config.scatter:
@@ -327,6 +338,7 @@ class EnsemblePlan:
             raise KernelError(
                 f"batched arrays missing kernel arrays {missing}"
             )
+        zeroed = _checked_zeroed(plan, zeroed)
         # Keep every provided array (callers extract full member states,
         # including arrays this kernel happens not to touch), but they
         # must all share the member axis.
@@ -343,6 +355,7 @@ class EnsemblePlan:
         self.members = members
         self.workers = workers
         self._batched = {name: batched[name] for name in names}
+        self._zeroed = tuple(self._batched[name] for name in zeroed)
         self._member_views = [
             {name: self._batched[name][m] for name in names}
             for m in range(members)
@@ -573,6 +586,8 @@ class EnsemblePlan:
         (and there is more than one chunk), otherwise inline on the
         calling thread.  Results are bitwise identical either way.
         """
+        for arr in self._zeroed:
+            arr.fill(0)
         chunks = self._chunks
         if self.workers > 1 and len(chunks) > 1:
             self._ensure_scheduler().run([chunk.run for chunk in chunks])

@@ -528,11 +528,15 @@ class NativeLibrary:
 
     def __init__(
         self, kernel, cdll: ctypes.CDLL, manifest, so_path: Path,
-        nthreads: int = 1,
+        nthreads: int = 1, zeroed: frozenset = frozenset(),
     ):
         self.kernel = kernel
         self.so_path = so_path
         self.nthreads = nthreads
+        # Targets whose '+=' statements this build emits in store form
+        # (see repro.codegen.native_c._store_line); empty for the plain
+        # library every unzeroed binding uses.
+        self.zeroed = zeroed
         self._fns: dict[tuple[int, int], ctypes._CFuncPtr] = {}
         self._region_index = {id(r): ri for ri, r in enumerate(kernel.regions)}
         for (ri, si), fname in manifest.items():
@@ -557,7 +561,9 @@ class NativeLibrary:
         return self._fns.get((ri, si))
 
 
-def library_for_kernel(kernel, nthreads: int = 1) -> NativeLibrary | None:
+def library_for_kernel(
+    kernel, nthreads: int = 1, zeroed: frozenset = frozenset()
+) -> NativeLibrary | None:
     """The (memoised) native library for *kernel*, or None on fallback.
 
     Memoised on the kernel object together with the toolchain used, so a
@@ -573,7 +579,13 @@ def library_for_kernel(kernel, nthreads: int = 1) -> NativeLibrary | None:
     *serial native* library (warning once), and only a missing
     toolchain or failed serial build falls all the way to the python
     path.
+
+    Non-empty *zeroed* requests the store-form variant for those
+    targets (see :func:`_store_form_library`); check the returned
+    library's ``zeroed`` to learn whether it was built.
     """
+    if zeroed:
+        return _store_form_library(kernel, nthreads, frozenset(zeroed))
     cc = native_toolchain()
     if nthreads <= 1:
         memo = getattr(kernel, "_native", None)
@@ -639,6 +651,51 @@ def library_for_kernel(kernel, nthreads: int = 1) -> NativeLibrary | None:
             )
             lib = library_for_kernel(kernel, 1)
     memo_mt[key] = lib
+    return lib
+
+
+def _store_form_library(
+    kernel, nthreads: int, zeroed: frozenset
+) -> NativeLibrary | None:
+    """The library variant emitting *zeroed* targets' ``+=`` as stores.
+
+    Built on the plain library's verdict — same toolchain, same
+    effective thread width — and memoised per (toolchain, width,
+    targets).  A failed build warns once and yields the plain library
+    (``zeroed`` empty), so the binding falls back to a full zero-fill
+    plus accumulate: the same bits, one more pass over the target.
+    """
+    base = library_for_kernel(kernel, nthreads)
+    if base is None:
+        return None
+    cc = native_toolchain()
+    memo = getattr(kernel, "_native_store", None)
+    if memo is None:
+        memo = kernel._native_store = {}
+    key = (cc, base.nthreads, zeroed)
+    lib = memo.get(key)
+    if lib is not None:
+        return lib
+    flags = _CFLAGS
+    if base.nthreads > 1:  # the plain build already proved OpenMP works
+        flags += _omp_cflags(cc)
+    try:
+        source, manifest = generate_native_source(
+            kernel, base.nthreads, zeroed
+        )
+        cdll, so_path = _build_and_load(source, cc, flags)
+        lib = NativeLibrary(
+            kernel, cdll, manifest, so_path, base.nthreads, zeroed
+        )
+    except (NativeBuildError, OSError) as exc:
+        _warn_once(
+            f"store-build-failed:{kernel.name}",
+            f"store-form native build of kernel {kernel.name!r} failed "
+            f"(cache: {native_cache_dir()}); zeroed targets fall back to "
+            f"a full fill plus accumulate — results are identical: {exc}",
+        )
+        lib = base
+    memo[key] = lib
     return lib
 
 
@@ -745,7 +802,7 @@ class FusedStatement(NativeStatement):
 
 
 def make_fused_statement(
-    kernel, entries, arrays, nthreads: int = 1
+    kernel, entries, arrays, nthreads: int = 1, zeroed: frozenset = frozenset()
 ) -> FusedStatement | None:
     """Bind one fusion group natively, or None to fall back group-wise.
 
@@ -763,7 +820,8 @@ def make_fused_statement(
     *name*, so any written array sharing memory with a differently-named
     array of the group voids it.  Any gate failing, or the generate/
     build step raising, leaves the group on the per-statement path
-    (native or Python), bitwise identical by construction.
+    (native or Python), bitwise identical by construction.  *zeroed*
+    targets written by the group are emitted in store form.
     """
     cc = native_toolchain()
     if cc is None:
@@ -813,7 +871,8 @@ def make_fused_statement(
             flags += omp
     try:
         source, fn_name, ptr_order = generate_fused_source(
-            entries, involved, kernel.counters, nthreads
+            entries, involved, kernel.counters, nthreads,
+            frozenset(zeroed) & written,
         )
         cdll, _ = _build_and_load(source, cc, flags)
     except (CodegenError, NativeBuildError, OSError) as exc:

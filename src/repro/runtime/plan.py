@@ -508,13 +508,25 @@ class ExecutionPlan:
 
     # -- binding -----------------------------------------------------------
 
-    def bind(self, arrays: Mapping[str, np.ndarray]) -> "BoundPlan":
+    def bind(
+        self, arrays: Mapping[str, np.ndarray], zeroed: Sequence[str] = ()
+    ) -> "BoundPlan":
         """Resolve this plan against concrete arrays (see :mod:`.bound`).
 
         Hold the result for steady-state loops: repeated
         :meth:`~repro.runtime.bound.BoundPlan.run` calls perform no
         per-call geometry work and (after warm-up) no array allocations.
         Rebind after replacing any array *object* in the mapping.
+
+        *zeroed* names kernel targets that read as zero at the start of
+        every run, as if the caller filled them with zeros before each
+        :meth:`~repro.runtime.bound.BoundPlan.run`, with the same bits.
+        The binding picks the cheapest exact way.  On the serial native
+        path a target the kernel only accumulates into (``+=``), never
+        reads, and covers with disjoint write boxes whose union is one
+        box is written in *store form*: ``t = 0 + rhs`` in the C
+        kernel, so only the complement of that box (at most two slabs
+        per axis) is filled.  Every other case fills the whole target.
 
         >>> from repro import heat_problem
         >>> from repro.runtime import compile_nests
@@ -526,10 +538,15 @@ class ExecutionPlan:
         ...     bound.run()
         >>> bound.matches(arrays)
         True
+        >>> import numpy as np
+        >>> arrays["u"][...] = np.nan   # stale output, read as zero
+        >>> kernel.plan().bind(arrays, zeroed=("u",)).run()
+        >>> bool(np.isfinite(arrays["u"]).all())
+        True
         """
         from .bound import BoundPlan  # avoids cycle
 
-        return BoundPlan(self, arrays)
+        return BoundPlan(self, arrays, zeroed)
 
     def bound_for(self, arrays: Mapping[str, np.ndarray]) -> "BoundPlan":
         """The memoised binding for *arrays*, rebinding when stale.

@@ -27,6 +27,7 @@ from repro.driver import optimal_cost
 from repro.experiments.steady import bitwise_equal as _bitwise
 from repro.runtime import (
     KernelError,
+    ShardedCheckpointedAdjoint,
     SnapshotPool,
     compile_nests,
     native_available,
@@ -455,3 +456,115 @@ def test_execution_plan_surface_method():
     b = helper.adjoint(state0, seed)
     for k in a:
         assert _bitwise(a[k], b[k])
+
+
+def test_sweeps_refuse_narrowing_inputs():
+    """A float64 state0 or seed never narrows silently into a float32
+    sweep; float32 inputs into a float64 sweep still widen exactly."""
+    prob = heat_problem(1)
+    n = 12
+    narrow = prob.checkpointed_adjoint(n, steps=4, snaps=2, dtype=np.float32)
+    state0, seed, _ = _inputs(prob, n, np.float32)
+    wide_state = [state0[0].astype(np.float64)]
+    wide_seed = seed.astype(np.float64)
+    for call in (
+        lambda: narrow.adjoint(wide_state, seed),
+        lambda: narrow.adjoint(state0, wide_seed),
+        lambda: narrow.run_store_all(wide_state, seed),
+        lambda: narrow.run_store_all(state0, wide_seed),
+        lambda: narrow.run_forward(wide_state),
+    ):
+        with pytest.raises(ValueError, match="reduced-precision"):
+            call()
+    widening = prob.checkpointed_adjoint(n, steps=4, snaps=2)
+    got = {k: v.copy() for k, v in widening.adjoint(state0, seed).items()}
+    ref = widening.adjoint(wide_state, wide_seed)
+    for k in ref:
+        assert _bitwise(got[k], ref[k])
+
+
+def test_sharded_sweeps_refuse_narrowing_inputs():
+    prob = heat_problem(1)
+    n = 12
+    shape = prob.array_shape(n)
+    bindings = prob.bindings(n, dtype=np.float32)
+    fwd = compile_nests([prob.primal], bindings)
+    rev = compile_nests(adjoint_loops(prob.primal, prob.adjoint_map), bindings)
+    state0, seed, _ = _inputs(prob, n, np.float32)
+    with ShardedCheckpointedAdjoint(
+        fwd, rev, shape, nranks=2, halo=1, steps=4, snaps=2,
+        output=prob.output_name, history=prob.history_fields(),
+        adjoint_map=prob.adjoint_name_map(), dtype=np.float32,
+        use_workers=False,
+    ) as sharded:
+        for call in (
+            lambda: sharded.adjoint([state0[0].astype(np.float64)], seed),
+            lambda: sharded.adjoint(state0, seed.astype(np.float64)),
+            lambda: sharded.run_forward([state0[0].astype(np.float64)]),
+        ):
+            with pytest.raises(ValueError, match="reduced-precision"):
+                call()
+        sharded.adjoint(state0, seed)  # matching dtypes still run
+
+
+# -- the adjoint ring --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("members", [None, 2], ids=["single", "ensemble"])
+@pytest.mark.parametrize("label", ["heat1d", "wave1d"])  # h = 1 and h = 2
+def test_adjoint_ring_parity_matches_store_all(label, members):
+    """Every steps/snaps pair ends the ring at a different parity; the
+    result must still equal run_store_all and the independent unbound
+    reference, member by member."""
+    factory, _ = PROBLEMS[label]
+    prob = factory()
+    n = 8
+    shape = prob.array_shape(n)
+    cases = [_inputs(prob, n, seed_offset=m) for m in range(members or 1)]
+    if members is None:
+        state0, seed, constants = cases[0]
+    else:
+        state0 = [
+            np.stack([case[0][k] for case in cases])
+            for k in range(len(prob.history_fields()))
+        ]
+        seed = np.stack([case[1] for case in cases])
+        constants = {
+            name: np.stack([case[2][name] for case in cases])
+            for name in cases[0][2]
+        }
+    for steps in range(1, 10):
+        refs = [
+            _reference_store_all(prob, n, steps, s0, sd, c, np.float64)
+            for s0, sd, c in cases
+        ]
+        for snaps in range(1, 5):
+            plan = prob.checkpointed_adjoint(
+                n, steps=steps, snaps=snaps, constants=constants,
+                members=members,
+            )
+            store = {
+                k: v.copy() for k, v in plan.run_store_all(state0, seed).items()
+            }
+            out = plan.adjoint(state0, seed)
+            where = f"steps={steps} snaps={snaps}"
+            for k in store:
+                assert out[k].shape == ((members, *shape) if members else shape)
+                assert _bitwise(out[k], store[k]), f"{k} vs store-all, {where}"
+                for m, ref in enumerate(refs):
+                    got = out[k] if members is None else out[k][m]
+                    assert _bitwise(got, ref[k]), (
+                        f"{k} member {m} vs unbound reference, {where}"
+                    )
+
+
+@pytest.mark.parametrize("members", [None, 2], ids=["single", "ensemble"])
+def test_one_binding_per_parity(members):
+    """Both rings are anchored to the step index, so h + 1 forward and
+    h + 1 reverse bindings serve every step, restores included."""
+    for factory, h in ((heat_problem, 1), (wave_problem, 2)):
+        plan = factory(1).checkpointed_adjoint(
+            16, steps=7, snaps=2, members=members
+        )
+        assert len(plan.history) == h
+        assert len(plan._fwd) == len(plan._rev) == h + 1
