@@ -1,4 +1,4 @@
-"""Execution substrate: kernel compiler, plan/cache runtime, executors."""
+"""Execution substrate: kernel compiler and the plan/bind runtime."""
 
 from . import faults
 from ..errors import (
@@ -27,7 +27,6 @@ from .cache import (
     native_cache_dir,
 )
 from .distributed import (
-    DistributedExecutor,
     RankSlab,
     ShardedPlan,
     decompose,
@@ -47,7 +46,6 @@ from .compiler import (
     compile_nests,
 )
 from .interpreter import interpret_nests
-from .parallel import ParallelExecutor
 from .plan import (
     ExecutionConfig,
     ExecutionPlan,
@@ -63,7 +61,7 @@ from .scheduler import (
     safe_split_axis,
     split_box,
 )
-from .tiling import run_tiled, safe_to_tile, tile_box
+from .tiling import safe_to_tile, tile_box
 
 __all__ = [
     "Bindings",
@@ -83,7 +81,6 @@ __all__ = [
     "ValidationError",
     "faults",
     "CompiledKernel",
-    "DistributedExecutor",
     "EnsemblePlan",
     "ExecutionConfig",
     "ExecutionPlan",
@@ -99,7 +96,6 @@ __all__ = [
     "KernelError",
     "KernelProfile",
     "NativeLibrary",
-    "ParallelExecutor",
     "RegionProfile",
     "SnapshotPool",
     "profile_kernel",
@@ -115,7 +111,6 @@ __all__ = [
     "native_cache_dir",
     "native_thread_count",
     "native_toolchain",
-    "run_tiled",
     "safe_split_axis",
     "safe_to_tile",
     "seeded_state",

@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -94,6 +93,7 @@ from .compiler import (
     RegionKernel,
     _frame_view,
     _target_view_and_missing,
+    array_names,
 )
 from .native import (
     NativeStatement,
@@ -665,11 +665,7 @@ class BoundPlan:
             # array must span exactly the shard's slab.  Catching a
             # mismatch here names the rank and the array instead of
             # surfacing as an opaque out-of-bounds view error.
-            names = set()
-            for rp in plan.region_plans:
-                for st in rp.region.statements:
-                    names.add(st.target.name)
-                    names.update(acc.name for acc in st.reads)
+            names = array_names(rp.region for rp in plan.region_plans)
             for name in sorted(names):
                 extent = arrays[name].shape[0]
                 if extent != shard.slab_extent:
@@ -948,7 +944,7 @@ class BoundPlan:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, pool: ThreadPoolExecutor | None = None) -> None:
+    def run(self) -> None:
         """Execute the bound kernel (all disciplines, like the plan's run).
 
         With ``ExecutionConfig(transactional=True)``, a statement
@@ -962,7 +958,7 @@ class BoundPlan:
         """
         self._step += 1
         if not self.plan.config.transactional:
-            self._run_inner(pool)
+            self._run_inner()
             return
         backups = self._backups
         if backups is None:
@@ -972,7 +968,7 @@ class BoundPlan:
         for arr, buf in backups:
             np.copyto(buf, arr)
         try:
-            self._run_inner(pool)
+            self._run_inner()
         except BaseException as exc:
             for arr, buf in backups:
                 np.copyto(arr, buf)
@@ -983,22 +979,22 @@ class BoundPlan:
                 f"mid-execution; user arrays were restored: {exc}"
             ) from exc
 
-    def _run_inner(self, pool: ThreadPoolExecutor | None) -> None:
+    def _run_inner(self) -> None:
         for view in self._zero_fills:
             view.fill(0)
         config = self.plan.config
         if config.scatter and config.num_threads > 1:
-            self._run_scatter(pool)
+            self._run_scatter()
         elif config.num_threads > 1:
-            self._run_threaded(pool)
+            self._run_threaded()
         else:
             for s in self._serial_items:
                 faults.check("bound.run")
                 s.run()
 
-    def _run_threaded(self, pool: ThreadPoolExecutor | None) -> None:
+    def _run_threaded(self) -> None:
         """Gather discipline: concurrent tasks, barriers where regions conflict."""
-        pool = pool or self.plan._ensure_pool()
+        pool = self.plan._ensure_pool()
         futures = []
         for br in self._regions:
             if br.barrier and futures:
@@ -1014,7 +1010,7 @@ class BoundPlan:
         for f in futures:
             f.result()
 
-    def _run_scatter(self, pool: ThreadPoolExecutor | None) -> None:
+    def _run_scatter(self) -> None:
         """Scatter discipline: private accumulation, deterministic merge.
 
         Tasks zero and fill their persistent thread-private scratch
@@ -1022,7 +1018,7 @@ class BoundPlan:
         the global arrays in task-submission order, so threaded scatter
         runs are reproducible call to call.
         """
-        pool = pool or self.plan._ensure_pool()
+        pool = self.plan._ensure_pool()
         pending: list[_BoundTask] = []
         futures = []
 

@@ -67,7 +67,7 @@ import numpy as np
 from ..driver.revolve import execute_schedule, schedule, schedule_cost
 from ..errors import CheckpointError, ReproError
 from . import faults
-from .compiler import KernelError
+from .compiler import KernelError, array_names
 
 __all__ = [
     "SnapshotPool",
@@ -159,16 +159,6 @@ class SnapshotPool:
             )
         for buf, arr in zip(bufs, out):
             np.copyto(arr, buf)
-
-
-def _kernel_array_names(plan) -> set[str]:
-    """All array names a plan's kernel touches."""
-    return {
-        name
-        for rp in plan.region_plans
-        for st in rp.region.statements
-        for name in (st.target.name, *(acc.name for acc in st.reads))
-    }
 
 
 def _check_dtype(what: str, arr, dtype: np.dtype) -> None:
@@ -300,7 +290,7 @@ class CheckpointedAdjointPlan:
 
         # Validate the plans against the state model up front: a missing
         # field would otherwise surface as a bare KeyError from binding.
-        fwd_names = _kernel_array_names(forward_plan)
+        fwd_names = array_names(rp.region for rp in forward_plan.region_plans)
         allowed_fwd = {output, *history, *constants}
         if not fwd_names <= allowed_fwd:
             raise KernelError(
@@ -309,7 +299,7 @@ class CheckpointedAdjointPlan:
                 f"stepping state (output={output!r}, history={history}, "
                 f"constants={sorted(constants)})"
             )
-        rev_names = _kernel_array_names(reverse_plan)
+        rev_names = array_names(rp.region for rp in reverse_plan.region_plans)
         # The reverse binding holds the saved history, the constants and
         # the adjoint working set — *not* the primal output, which the
         # repository's adjoint kernels never read (they consume its
@@ -714,12 +704,7 @@ class ShardedCheckpointedAdjoint:
                     f"end-to-end reduced-precision contract; cast it first"
                 )
 
-        rev_names = {
-            name
-            for region in reverse_kernel.regions
-            for st in region.statements
-            for name in (st.target.name, *(acc.name for acc in st.reads))
-        }
+        rev_names = array_names(reverse_kernel.regions)
         # Physical buffer namespace: h + 1 rotating state buffers, the
         # reverse working set, and the constants.  Role assignment per
         # rotation parity happens through the ShardedPlan alias maps.
@@ -932,7 +917,12 @@ class ShardedCheckpointedAdjoint:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop shard workers and release shared-memory segments."""
+        """Stop shard workers and release shared-memory segments.
+
+        Later :meth:`run_forward` and :meth:`adjoint` calls raise
+        :class:`~repro.errors.ValidationError` from the closed
+        :class:`~repro.runtime.distributed.ShardedPlan`.
+        """
         self._plan.close()
 
     def __enter__(self) -> "ShardedCheckpointedAdjoint":

@@ -9,15 +9,16 @@ space (one array axis per counter, outermost first); each array access
 becomes a view aligned to that frame, so a statement evaluates in a single
 vectorised expression per region — the Python idiom for a stencil loop.
 
-``RegionKernel.execute`` accepts an optional sub-box of the region's
-iteration space, which is how the shared-memory parallel executor
-(:mod:`repro.runtime.parallel`) assigns disjoint blocks to threads.
+``RegionKernel.statement_boxes`` maps a sub-box of the region's
+iteration space to per-statement boxes and ``execute_boxes`` runs them,
+which is how an :class:`~repro.runtime.plan.ExecutionPlan` assigns
+disjoint thread blocks and tiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import sympy as sp
@@ -36,6 +37,7 @@ __all__ = [
     "CompiledKernel",
     "compile_nests",
     "assert_disjoint_writes",
+    "array_names",
     "KernelError",
 ]
 
@@ -355,8 +357,7 @@ class RegionKernel:
     ) -> None:
         """Run the region's statements over ``bounds`` (default: full region).
 
-        ``bounds`` must be a sub-box of the region bounds; this is what the
-        parallel executor uses to hand disjoint blocks to threads.
+        ``bounds`` must be a sub-box of the region bounds.
         """
         self.execute_boxes(arrays, self.statement_boxes(bounds))
 
@@ -515,6 +516,21 @@ class CompiledKernel:
             plan = ExecutionPlan.build(self, config)
             self._plans[config] = plan
         return plan
+
+
+def array_names(regions: Iterable[RegionKernel]) -> set[str]:
+    """Every array name the statements of *regions* write or read.
+
+    Pass ``kernel.regions`` for everything a kernel touches, or the
+    regions of a plan's ``region_plans`` for what one plan (a shard's,
+    say) actually executes.
+    """
+    return {
+        name
+        for region in regions
+        for st in region.statements
+        for name in (st.target.name, *(acc.name for acc in st.reads))
+    }
 
 
 def _compile_nests_uncached(

@@ -2,24 +2,18 @@
 
 The paper's related work covers AD of MPI-parallel programs (Hovland
 [13]) and notes that stencil compilers "can parallelise in MPI or shared
-memory" given the stencil structure.  This module provides that
-distributed-memory substrate in two layers:
+memory" given the stencil structure.  :class:`ShardedPlan` provides that
+distributed-memory substrate, wired into the plan/bind runtime.  The
+domain is block-decomposed along the outermost axis; every rank owns an
+interior slab plus a halo of the stencil radius.  Each rank's slab
+lives in a ``multiprocessing.shared_memory`` segment; one
+:class:`~repro.runtime.bound.BoundPlan` per shard (python or native
+backend) is bound against the slab views and executed by a forked
+worker process, or in-process with ``use_workers=False``.  The parent
+performs the forward ghost-cell exchange and the adjoint
+accumulate-back between steps.
 
-* :class:`DistributedExecutor` — the simulated substrate (per DESIGN.md
-  §4: no MPI in this environment, so network transport is replaced by
-  array copies between per-rank storage while the communication pattern
-  and data ownership stay exact).  The domain is block-decomposed along
-  the outermost axis; every rank owns an interior slab plus a halo of
-  the stencil radius.
-* :class:`ShardedPlan` — real multi-process execution wired into the
-  plan/bind runtime.  Each rank's slab lives in a
-  ``multiprocessing.shared_memory`` segment; one
-  :class:`~repro.runtime.bound.BoundPlan` per shard (python or native
-  backend) is bound against the slab views and executed by a forked
-  worker process; the parent performs the forward ghost-cell exchange
-  and the adjoint accumulate-back between steps.
-
-The communication pattern, in both layers:
+The communication pattern:
 
 * **forward**: ranks exchange interior boundary layers into neighbours'
   halos (the classic ghost-cell exchange), then run the kernel on their
@@ -43,7 +37,9 @@ dispatch degrades the plan to single-shard execution on the caller's
 global arrays, bitwise-identically, with one warning.  A worker that
 fails *mid-step* (after dispatch) raises a typed
 :class:`~repro.errors.ShardError` instead, because some ranks may
-already have advanced.
+already have advanced.  A closed plan refuses every step and data call
+with a typed :class:`~repro.errors.ValidationError` rather than reading
+released slabs.
 """
 
 from __future__ import annotations
@@ -61,12 +57,11 @@ import numpy as np
 
 from ..errors import ShardError, ValidationError
 from . import faults
-from .compiler import CompiledKernel
+from .compiler import CompiledKernel, array_names
 from .plan import ExecutionConfig, ExecutionPlan, ShardSpec
 
 __all__ = [
     "RankSlab",
-    "DistributedExecutor",
     "ShardedPlan",
     "decompose",
 ]
@@ -119,9 +114,6 @@ class RankSlab:
     halo: int
     slab_lo: int  # global index of local row 0 (halo clamped at edges)
     arrays: dict[str, np.ndarray]
-
-    def local_index(self, global_index: int) -> int:
-        return global_index - self.slab_lo
 
 
 def _exchange_pairs(
@@ -178,131 +170,7 @@ def _accumulate_pairs(
             ra[r_own_lo - h : r_own_lo] = 0.0
 
 
-class DistributedExecutor:
-    """Execute compiled kernels on a block-decomposed domain.
-
-    Parameters
-    ----------
-    nranks:
-        Number of simulated ranks requested.  When the extent is smaller
-        the decomposition clamps; :attr:`effective_nranks` records the
-        rank count actually used (one warning per executor).
-    halo:
-        Halo width (the stencil radius; must cover every access offset of
-        the kernels run through this executor).
-    """
-
-    def __init__(self, nranks: int, halo: int):
-        if halo < 0:
-            raise ValueError("halo must be >= 0")
-        self.nranks = nranks
-        self.halo = halo
-        self.effective_nranks: int | None = None
-        self._warned_clamp = False
-
-    # -- setup -----------------------------------------------------------------
-
-    def scatter(self, global_arrays: Mapping[str, np.ndarray]) -> list[RankSlab]:
-        """Distribute global arrays into per-rank slabs (with halos)."""
-        shapes = {a.shape for a in global_arrays.values()}
-        if len(shapes) != 1:
-            raise ValueError("all arrays must share one shape")
-        extent = next(iter(shapes))[0]
-        ranges = decompose(extent, self.nranks)
-        self.effective_nranks = len(ranges)
-        if self.effective_nranks < self.nranks and not self._warned_clamp:
-            self._warned_clamp = True
-            warnings.warn(
-                f"requested {self.nranks} ranks but the axis-0 extent is "
-                f"{extent}; using {self.effective_nranks} rank(s)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        _validate_halo(ranges, self.halo)
-        slabs = []
-        for r, (lo, hi) in enumerate(ranges):
-            slab_lo = max(0, lo - self.halo)
-            slab_hi = min(extent - 1, hi + self.halo)
-            local = {
-                name: arr[slab_lo : slab_hi + 1].copy()
-                for name, arr in global_arrays.items()
-            }
-            slabs.append(
-                RankSlab(
-                    rank=r, own_lo=lo, own_hi=hi, halo=self.halo,
-                    slab_lo=slab_lo, arrays=local,
-                )
-            )
-        return slabs
-
-    def gather(
-        self, slabs: Sequence[RankSlab], names: Sequence[str], extent: int
-    ) -> dict[str, np.ndarray]:
-        """Assemble owned rows of each rank back into global arrays."""
-        out = {
-            name: np.zeros(
-                (extent,) + slabs[0].arrays[name].shape[1:],
-                dtype=slabs[0].arrays[name].dtype,
-            )
-            for name in names
-        }
-        for slab in slabs:
-            lo, hi = slab.own_lo, slab.own_hi
-            a = lo - slab.slab_lo
-            for name in names:
-                out[name][lo : hi + 1] = slab.arrays[name][a : a + hi - lo + 1]
-        return out
-
-    # -- communication ------------------------------------------------------------
-
-    def halo_exchange(self, slabs: Sequence[RankSlab], names: Sequence[str]) -> None:
-        """Forward ghost-cell exchange: copy neighbours' interior rows into
-        each rank's halo layers (both directions)."""
-        _exchange_pairs(slabs, names, self.halo)
-
-    def halo_accumulate_back(
-        self, slabs: Sequence[RankSlab], names: Sequence[str]
-    ) -> None:
-        """Adjoint of the halo exchange: add each rank's halo contributions
-        into the owning neighbour's interior, then zero the halo (a send
-        in the primal becomes a receive-and-increment in the adjoint)."""
-        _accumulate_pairs(slabs, names, self.halo)
-
-    # -- execution -------------------------------------------------------------
-
-    def run(
-        self,
-        kernel: CompiledKernel,
-        slabs: Sequence[RankSlab],
-    ) -> None:
-        """Run *kernel* on every rank's owned portion of each region.
-
-        Region bounds (global indices) are intersected with the rank's
-        owned rows along axis 0 and translated to local indices.
-        """
-        for slab in slabs:
-            shift = slab.slab_lo
-            for region in kernel.regions:
-                bounds = list(region.bounds)
-                lo, hi = bounds[0]
-                lo = max(lo, slab.own_lo)
-                hi = min(hi, slab.own_hi)
-                if lo > hi:
-                    continue
-                bounds[0] = (lo - shift, hi - shift)
-                region.execute(slab.arrays, tuple(bounds))
-
-
 # -- sharded plan/bind execution -----------------------------------------------
-
-
-def _kernel_array_names(kernel: CompiledKernel) -> set[str]:
-    names: set[str] = set()
-    for region in kernel.regions:
-        for st in region.statements:
-            names.add(st.target.name)
-            names.update(acc.name for acc in st.reads)
-    return names
 
 
 def _worker_main(conn, plans) -> None:
@@ -429,7 +297,7 @@ class ShardedPlan:
         for key, kernel in self._kernels.items():
             amap = self._aliases[key]
             missing = {
-                amap.get(n, n) for n in _kernel_array_names(kernel)
+                amap.get(n, n) for n in array_names(kernel.regions)
             } - set(arrays)
             if missing:
                 raise ValidationError(
@@ -452,6 +320,7 @@ class ShardedPlan:
         self._globals = dict(arrays)
         self._names = list(arrays)
         self._degraded = False
+        self._closed = False
         self._single: dict[object, object] = {}
         self._segments: list[shared_memory.SharedMemory] = []
         self._workers: list[multiprocessing.process.BaseProcess] = []
@@ -509,7 +378,7 @@ class ShardedPlan:
             amap = self._aliases[key]
             local = {
                 name: slab.arrays[amap.get(name, name)]
-                for name in _kernel_array_names(kernel)
+                for name in array_names(kernel.regions)
             }
             per_key[key] = plan.bind(local)
         return per_key
@@ -538,6 +407,13 @@ class ShardedPlan:
         """Whether steps are executed by forked worker processes."""
         return bool(self._workers)
 
+    def _require_open(self) -> None:
+        if self._closed:
+            raise ValidationError(
+                "ShardedPlan is closed: its workers and shared-memory "
+                "slabs are released; build a new plan"
+            )
+
     # -- stepping ----------------------------------------------------------
 
     def step(
@@ -554,8 +430,10 @@ class ShardedPlan:
         are added back to the owning neighbour after the run (adjoint
         accumulate-back), in fixed rank order.  Accumulate-target halos
         are zeroed *before* the run so only contributions this step
-        produced travel back.
+        produced travel back.  Raises :class:`ValidationError` once the
+        plan is closed, as every data call does.
         """
+        self._require_open()
         if key not in self._kernels:
             raise ValidationError(
                 f"unknown kernel key {key!r}; have {sorted(map(repr, self._kernels))}"
@@ -627,11 +505,13 @@ class ShardedPlan:
 
     def exchange(self, names: Sequence[str]) -> None:
         """Forward ghost-cell exchange for *names* (no-op when degraded)."""
+        self._require_open()
         if not self._degraded:
             _exchange_pairs(self.slabs, names, self.halo)
 
     def accumulate_back(self, names: Sequence[str]) -> None:
         """Adjoint accumulate-back for *names* (no-op when degraded)."""
+        self._require_open()
         if not self._degraded:
             _accumulate_pairs(self.slabs, names, self.halo)
 
@@ -639,6 +519,7 @@ class ShardedPlan:
 
     def gather(self, names: Sequence[str] | None = None) -> dict[str, np.ndarray]:
         """Owned rows of each rank assembled into fresh global arrays."""
+        self._require_open()
         names = self._names if names is None else list(names)
         out = {}
         for name in names:
@@ -652,6 +533,7 @@ class ShardedPlan:
 
     def gather_into(self, name: str, dst: np.ndarray) -> None:
         """Assemble owned rows of *name* into the preallocated *dst*."""
+        self._require_open()
         if self._degraded:
             np.copyto(dst, self._globals[name])
         else:
@@ -665,6 +547,7 @@ class ShardedPlan:
 
     def load(self, name: str, values: np.ndarray) -> None:
         """Scatter a global array into every rank's slab (halos included)."""
+        self._require_open()
         if self._degraded:
             np.copyto(self._globals[name], values)
             return
@@ -674,6 +557,7 @@ class ShardedPlan:
 
     def fill(self, name: str, value: float = 0.0) -> None:
         """Fill an array with a constant on every rank (halos included)."""
+        self._require_open()
         if self._degraded:
             self._globals[name].fill(value)
             return
@@ -682,6 +566,7 @@ class ShardedPlan:
 
     def copy(self, dst: str, src: str) -> None:
         """Copy array *src* into *dst* on every rank (halos included)."""
+        self._require_open()
         if self._degraded:
             np.copyto(self._globals[dst], self._globals[src])
             return
@@ -711,7 +596,7 @@ class ShardedPlan:
             amap = self._aliases[key]
             local = {
                 name: self._globals[amap.get(name, name)]
-                for name in _kernel_array_names(kernel)
+                for name in array_names(kernel.regions)
             }
             self._single[key] = plan.bind(local)
         self._degraded = True
@@ -720,7 +605,12 @@ class ShardedPlan:
         _release(self._workers, self._conns, self._segments)
 
     def close(self) -> None:
-        """Stop workers and release shared-memory segments (idempotent)."""
+        """Stop workers and release shared-memory segments (idempotent).
+
+        Every later :meth:`step` or data call raises
+        :class:`ValidationError`.
+        """
+        self._closed = True
         self._bound = []
         self.slabs = []
         _release(self._workers, self._conns, self._segments)

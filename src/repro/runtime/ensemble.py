@@ -102,7 +102,12 @@ from .bound import (
     _checked_zeroed,
     _supports_inplace,
 )
-from .compiler import CompiledAccess, CompiledStatement, KernelError
+from .compiler import (
+    CompiledAccess,
+    CompiledStatement,
+    KernelError,
+    array_names,
+)
 from .native import (
     chain_runnables,
     library_for_kernel,
@@ -327,12 +332,7 @@ class EnsemblePlan:
             )
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        kernel_names = {
-            name
-            for rp in plan.region_plans
-            for st in rp.region.statements
-            for name in (st.target.name, *(acc.name for acc in st.reads))
-        }
+        kernel_names = array_names(rp.region for rp in plan.region_plans)
         missing = sorted(kernel_names - set(batched))
         if missing:
             raise KernelError(

@@ -2,11 +2,9 @@
 
 The paper's measured workflow fixes the execution configuration (thread
 count, problem size) once and then runs the compiled kernel for every
-timestep and repetition.  The reproduction previously redid the per-run
-bookkeeping — guard-box intersection, safe-split-axis selection, thread
-blocking, tile decomposition — inside every ``execute`` call, through
-four separate dispatch paths (serial ``CompiledKernel.__call__``,
-``ParallelExecutor.run``/``run_scatter``, ``run_tiled``).
+timestep and repetition, so the per-run bookkeeping — guard-box
+intersection, safe-split-axis selection, thread blocking, tile
+decomposition — is done once, not inside every ``execute`` call.
 
 An :class:`ExecutionPlan` is built once per ``(kernel, ExecutionConfig)``
 (PyOP2's parallel-plan idea): it freezes the full work decomposition —
@@ -335,9 +333,8 @@ class ExecutionPlan:
     Build via :meth:`CompiledKernel.plan` (memoised) or
     :meth:`ExecutionPlan.build`; execute with :meth:`run` (which binds
     and memoises per arrays identity) or hold a long-lived binding
-    explicitly via :meth:`bind`.  The plan owns a lazily created thread
-    pool for standalone parallel runs; callers with their own pool
-    (e.g. ``ParallelExecutor``) pass it to ``run``.
+    explicitly via :meth:`bind`.  The plan owns the lazily created thread
+    pool every threaded run of the plan and its bindings uses.
 
     >>> from repro import heat_problem
     >>> from repro.runtime import compile_nests
@@ -682,11 +679,7 @@ class ExecutionPlan:
 
     # -- execution ---------------------------------------------------------
 
-    def run(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        pool: ThreadPoolExecutor | None = None,
-    ) -> None:
+    def run(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Execute the planned kernel on *arrays*.
 
         One entry point for all disciplines; which one runs was fixed at
@@ -723,26 +716,22 @@ class ExecutionPlan:
                 memo.move_to_end(key)
             seen = bound is not None or self._seen_before(arrays)
         if bound is not None:
-            bound.run(pool=pool)
+            bound.run()
         elif seen:
-            self.bound_for(arrays).run(pool=pool)
+            self.bound_for(arrays).run()
         else:
-            self.run_unbound(arrays, pool)
+            self.run_unbound(arrays)
 
-    def run_unbound(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        pool: ThreadPoolExecutor | None = None,
-    ) -> None:
+    def run_unbound(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Execute without binding: per-call views and temporaries.
 
         The PR 1 execution path, kept as the baseline the bound path is
         benchmarked (and bitwise-verified) against.
         """
         if self.config.scatter and self.config.num_threads > 1:
-            self._run_scatter(arrays, pool)
+            self._run_scatter(arrays)
         elif self.config.num_threads > 1:
-            self._run_threaded(arrays, pool)
+            self._run_threaded(arrays)
         else:
             self._run_serial(arrays)
 
@@ -761,11 +750,9 @@ class ExecutionPlan:
         for unit in task:
             region.execute_boxes(arrays, unit)
 
-    def _run_threaded(
-        self, arrays: Mapping[str, np.ndarray], pool: ThreadPoolExecutor | None
-    ) -> None:
+    def _run_threaded(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Gather discipline: concurrent tasks, barriers only on conflicts."""
-        pool = pool or self._ensure_pool()
+        pool = self._ensure_pool()
         futures = []
         for rp, barrier in zip(self.region_plans, self.barriers):
             if barrier and futures:
@@ -783,9 +770,7 @@ class ExecutionPlan:
         for f in done:
             f.result()  # propagate exceptions
 
-    def _run_scatter(
-        self, arrays: Mapping[str, np.ndarray], pool: ThreadPoolExecutor | None
-    ) -> None:
+    def _run_scatter(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Scatter discipline: private accumulation, deterministic merge.
 
         Blocks compute into zero-seeded private scratch concurrently and
@@ -793,7 +778,7 @@ class ExecutionPlan:
         order — reproducible run to run, unlike a merge ordered by task
         completion.
         """
-        pool = pool or self._ensure_pool()
+        pool = self._ensure_pool()
 
         def compute(region: RegionKernel, task: tuple[StmtBoxes, ...]):
             written = {st.target.name for st in region.statements}
@@ -842,9 +827,7 @@ class ExecutionPlan:
         be the whole process.  Call ``close`` (or use the plan as a
         context manager) when a burst of runs is over; the pool is
         lazily recreated on the next run.  Dropping the bind memo also
-        releases the references it holds to bound arrays.  Callers that
-        manage their own pool (``ParallelExecutor``) pass it to
-        :meth:`run` and are unaffected.
+        releases the references it holds to bound arrays.
         """
         with self._memo_lock:
             self._bound_memo.clear()

@@ -11,7 +11,6 @@ the binding/validation surface.
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -314,36 +313,42 @@ def test_scheduler_runs_every_task_and_is_reusable():
 
 
 def test_scheduler_steals_from_loaded_workers():
-    """An unbalanced batch finishes on the thief, not behind the owner."""
+    """The idle worker steals the loaded worker's backlog.
+
+    Round-robin seeds every slow task onto worker 0's deque and every
+    fast one onto worker 1's.  The owner's first slow task blocks until
+    a slow task runs on worker 1's thread, which only a steal can
+    arrange, so the batch completes only if stealing happens.  The
+    timeout is a hang guard that fails the test, not a timing bound.
+    """
+    owner, thief = "repro-steal-0", "repro-steal-1"
+    stolen = threading.Event()
+    lock = threading.Lock()
+    slow_by = {owner: 0, thief: 0}
+    ran = []
+    waits = []
+
+    def slow():
+        name = threading.current_thread().name
+        with lock:
+            slow_by[name] += 1
+            ran.append("slow")
+            first_on_owner = name == owner and slow_by[owner] == 1
+        if name == thief:
+            stolen.set()
+        elif first_on_owner:
+            waits.append(stolen.wait(timeout=30))
+
+    def fast():
+        with lock:
+            ran.append("fast")
+
     with WorkStealingScheduler(2) as sched:
-        ran_by = {}
-        lock = threading.Lock()
-
-        def slow():
-            ran_by[threading.get_ident()] = ran_by.get(
-                threading.get_ident(), 0
-            ) + 1
-            time.sleep(0.05)
-
-        def fast(i):
-            with lock:
-                ran_by[threading.get_ident()] = ran_by.get(
-                    threading.get_ident(), 0
-                ) + 1
-
-        # Round-robin seeds slow tasks onto worker 0 and fast onto 1;
-        # worker 1 must steal worker 0's backlog.
-        tasks = []
-        for i in range(4):
-            tasks.append(slow)
-            tasks.append(lambda i=i: fast(i))
-        start = time.perf_counter()
-        sched.run(tasks)
-        elapsed = time.perf_counter() - start
-        assert sum(ran_by.values()) == 8
-        # 4 x 0.05s of slow work over 2 workers: stealing keeps the
-        # critical path near 0.1s; a no-steal schedule would be 0.2s.
-        assert elapsed < 0.19, f"stealing failed to rebalance ({elapsed:.3f}s)"
+        sched.run([slow, fast] * 4)
+    assert len(ran) == 8
+    assert stolen.is_set()
+    assert all(waits), "owner's first slow task was never released"
+    assert slow_by[thief] >= 1
 
 
 def test_scheduler_propagates_task_exceptions():

@@ -1,8 +1,8 @@
-"""Parallel executor and scheduler tests.
+"""Threaded and scatter execution plans, and the scheduler.
 
-On this machine the thread pool exercises the decomposition and
-synchronisation structure (the results must be identical for any thread
-count); the performance claims are the machine model's job.
+The plan's thread pool exercises the decomposition and synchronisation
+structure (the results must be identical for any thread count); the
+performance claims are the machine model's job.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.core.loopnest import LoopNest, Statement
 from repro.runtime import (
     Bindings,
     KernelError,
-    ParallelExecutor,
     compile_nests,
     split_box,
 )
@@ -81,8 +80,7 @@ def test_gather_identical_across_thread_counts(any_problem, rng, threads):
     kernel(serial)
 
     parallel = {k: v.copy() for k, v in base.items()}
-    with ParallelExecutor(num_threads=threads, min_block_iterations=1) as ex:
-        ex.run(kernel, parallel)
+    kernel.plan(num_threads=threads, min_block_iterations=1).run(parallel)
 
     name_map = prob.adjoint_name_map()
     for prim in prob.active_input_names():
@@ -104,8 +102,7 @@ def test_scatter_locked_execution_matches_serial(rng):
     serial = {k: v.copy() for k, v in base.items()}
     kernel(serial)
     parallel = {k: v.copy() for k, v in base.items()}
-    with ParallelExecutor(num_threads=4, min_block_iterations=1) as ex:
-        ex.run_scatter(kernel, parallel)
+    kernel.plan(num_threads=4, scatter=True, min_block_iterations=1).run(parallel)
     np.testing.assert_allclose(
         serial["u_1_b"], parallel["u_1_b"], rtol=1e-12, atol=1e-13
     )
@@ -133,14 +130,12 @@ def _mixed_op_kernel(N: int):
     return compile_nests([nest], Bindings(sizes={n: N}), cache=False)
 
 
-def test_scatter_rejects_mixed_assignment_kernel(rng):
-    """run_scatter must refuse kernels whose merge would corrupt results."""
+def test_scatter_rejects_mixed_assignment_kernel():
+    """Scatter plans refuse kernels whose merge would corrupt results."""
     N = 64
     kernel = _mixed_op_kernel(N)
-    arrays = {"u": rng.standard_normal(N + 1), "r": rng.standard_normal(N + 1)}
-    with ParallelExecutor(num_threads=2, min_block_iterations=1) as ex:
-        with pytest.raises(KernelError, match="scatter"):
-            ex.run_scatter(kernel, arrays)
+    with pytest.raises(KernelError, match="scatter"):
+        kernel.plan(num_threads=2, scatter=True, min_block_iterations=1)
 
 
 def test_scatter_single_thread_runs_mixed_kernel(rng):
@@ -151,8 +146,7 @@ def test_scatter_single_thread_runs_mixed_kernel(rng):
     serial = {k: v.copy() for k, v in base.items()}
     kernel(serial)
     scat = {k: v.copy() for k, v in base.items()}
-    with ParallelExecutor(num_threads=1) as ex:
-        ex.run_scatter(kernel, scat)
+    kernel.plan(num_threads=1, scatter=True).run(scat)
     np.testing.assert_array_equal(serial["r"], scat["r"])
 
 
@@ -167,15 +161,14 @@ def test_scatter_rejects_read_of_written_array():
         bounds={i: (1, n - 1)},
     )
     kernel = compile_nests([nest], Bindings(sizes={n: 32}), cache=False)
-    arrays = {"u": np.ones(33), "r": np.zeros(33)}
-    with ParallelExecutor(num_threads=2, min_block_iterations=1) as ex:
-        with pytest.raises(KernelError, match="reads"):
-            ex.run_scatter(kernel, arrays)
+    with pytest.raises(KernelError, match="reads"):
+        kernel.plan(num_threads=2, scatter=True, min_block_iterations=1)
 
 
 def test_invalid_thread_count():
-    with pytest.raises(ValueError):
-        ParallelExecutor(num_threads=0)
+    """``num_threads=0`` is rejected by the plan's ExecutionConfig."""
+    with pytest.raises(ValueError, match="num_threads"):
+        _mixed_op_kernel(8).plan(num_threads=0)
 
 
 def test_small_regions_run_inline(rng):
@@ -191,8 +184,9 @@ def test_small_regions_run_inline(rng):
     serial = {k: v.copy() for k, v in base.items()}
     kernel(serial)
     par = {k: v.copy() for k, v in base.items()}
-    with ParallelExecutor(num_threads=4, min_block_iterations=10**9) as ex:
-        ex.run(kernel, par)
+    plan = kernel.plan(num_threads=4, min_block_iterations=10**9)
+    assert not any(rp.parallel for rp in plan.region_plans)
+    plan.run(par)
     np.testing.assert_array_equal(serial["u_1_b"], par["u_1_b"])
 
 
@@ -209,6 +203,6 @@ def test_exceptions_propagate():
     )
     kernel = compile_nests([nest], Bindings(sizes={nsym: 4000}))
     arrays = {"u": np.zeros(4001), "r": np.zeros(4001)}  # u(i-1) at i=0 OOB
-    with ParallelExecutor(num_threads=2, min_block_iterations=1) as ex:
+    with kernel.plan(num_threads=2, min_block_iterations=1) as plan:
         with pytest.raises(Exception):
-            ex.run(kernel, arrays)
+            plan.run(arrays)

@@ -275,6 +275,63 @@ def test_sharded_plan_rejects_unknown_kernel_key_and_bad_shapes():
         )
 
 
+@pytest.mark.parametrize("degraded", [False, True], ids=["sharded", "degraded"])
+def test_closed_plan_raises_on_every_step_and_data_call(degraded):
+    """Regression: after ``close()``, ``step()`` silently did nothing and
+    ``gather()`` returned uninitialised memory.  Every step and data
+    call now raises the typed error an unknown kernel key raises."""
+    prob = heat_problem(1)
+    n = 10
+    fwd, _ = _kernels(prob, n)
+    plan = ShardedPlan(
+        fwd, prob.allocate(n, rng=np.random.default_rng(3)),
+        nranks=2, halo=1, use_workers=False,
+    )
+    if degraded:
+        with faults.inject("shard.exchange"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plan.step(exchange=["u_1"])
+        assert plan.degraded
+    plan.close()
+    plan.close()  # idempotent
+    calls = {
+        "step": lambda: plan.step(exchange=["u_1"]),
+        "gather": lambda: plan.gather(),
+        "gather_into": lambda: plan.gather_into(
+            "u", np.empty(prob.array_shape(n))
+        ),
+        "load": lambda: plan.load("u", np.zeros(prob.array_shape(n))),
+        "fill": lambda: plan.fill("u", 0.0),
+        "copy": lambda: plan.copy("u_1", "u"),
+        "exchange": lambda: plan.exchange(["u_1"]),
+        "accumulate_back": lambda: plan.accumulate_back(["u_1"]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValidationError, match="closed"):
+            call()
+
+
+def test_closed_sharded_checkpointed_adjoint_raises():
+    """``ShardedCheckpointedAdjoint.close()`` closes its plan, so a later
+    sweep fails with the typed error instead of reading released slabs."""
+    prob = heat_problem(2)
+    n = 8
+    shape = prob.array_shape(n)
+    fwd, rev = _kernels(prob, n)
+    sharded = ShardedCheckpointedAdjoint(
+        fwd, rev, shape, nranks=2, halo=1, steps=3, snaps=2,
+        output=prob.output_name, history=prob.history_fields(),
+        adjoint_map=prob.adjoint_name_map(), use_workers=False,
+    )
+    state0 = [np.zeros(shape) for _ in prob.history_fields()]
+    sharded.run_forward(state0)
+    sharded.close()
+    with pytest.raises(ValidationError, match="closed"):
+        sharded.run_forward(state0)
+    with pytest.raises(ValidationError, match="closed"):
+        sharded.adjoint(state0, np.zeros(shape))
+
+
 # -- failure modes -----------------------------------------------------------
 
 
